@@ -1,7 +1,7 @@
 // perfbench_client: the load generator and layer prober behind perfbench/run.py.
 //
 //   perfbench_client --shape read_mostly|hot_writes --seed N --seconds S
-//                    --rounds R --fuzz-seeds HI --fuzz-passes K --trace 0|1
+//                    --rounds R --fuzz-seeds HI --trace 0|1
 //                    --server-bin PATH --work-dir DIR --out FILE
 //
 // Deploys the real system R times per protocol of the strict trio (algo-b,
@@ -9,8 +9,8 @@
 // client on loopback TCP, driven by two closed loops over the unified
 // TxnClient API (2 READ clients, 1 WRITE client, one transaction outstanding
 // per loop, zero think time).  Every fleet's full history is checked with
-// check_tag_order.  Between fleets it runs slices of the fuzz battery (K
-// passes over seeds [1, HI] for the trio) on SimRuntime.
+// check_tag_order.  Between fleets it runs chunks of the fuzz battery (seeds
+// [1, HI] for the trio) on SimRuntime.
 //
 // This program only measures: it writes raw samples (latency lists, leg
 // durations, /proc snapshots, transport counters) as one JSON object to
@@ -157,6 +157,12 @@ std::string transport_json(const TransportStats& s) {
   return o.text();
 }
 
+std::vector<std::string> slices_json(const std::vector<std::vector<double>>& slices) {
+  std::vector<std::string> out;
+  for (const auto& v : slices) out.push_back(jarr(v));
+  return out;
+}
+
 std::string read_text(const std::string& path) {
   std::ifstream f(path);
   std::stringstream ss;
@@ -289,6 +295,32 @@ Shape shape_for(const std::string& workload) {
 }
 
 constexpr std::size_t kObjects = 64;
+/// Equal slices of each fleet's timed window.  run.py takes every P.* figure
+/// per slice and reports the median over a protocol's slices, so host noise
+/// that covers only part of a fleet's window moves only some of them.
+constexpr std::size_t kSlices = 2;
+/// Set-up-only fleets per run, beside the timed ones, for setup_s.
+constexpr std::size_t kSetupProbes = 9;
+
+/// A fleet that did not come up: a daemon could not bind its port, or the
+/// client could not reach it in time.  Nothing was submitted to it yet.
+struct FleetDown : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Runs `deploy` (which writes a fleet file on freshly picked ports) and, if
+/// that fleet does not come up, once more.  pick_free_ports only probes the
+/// ports, so another process can take one before a daemon binds it.
+template <typename Fn>
+auto with_port_retry(const std::string& what, Fn&& deploy) {
+  try {
+    return deploy();
+  } catch (const FleetDown& e) {
+    std::fprintf(stderr, "[perfbench] %s: %s; retrying with fresh ports\n", what.c_str(),
+                 e.what());
+  }
+  return deploy();
+}
 
 // --- benchmark observer (traced fleets only) ---------------------------------
 
@@ -366,8 +398,10 @@ struct FleetResult {
   bool traced{false};
   TimeNs setup_ns{0};
   TimeNs window_ns{0};
-  std::vector<double> read_us, write_us;  ///< timed-window latencies.
-  std::uint64_t attempted{0};             ///< txns submitted in the window.
+  std::string host_stat_w0, host_stat_w1;  ///< /proc/stat at the window's ends.
+  /// Timed-window latencies, by the slice of the window the txn was submitted in.
+  std::vector<std::vector<double>> read_us{kSlices}, write_us{kSlices};
+  std::uint64_t attempted{0};  ///< txns submitted in the window.
   std::uint64_t completed{0};
   std::uint64_t history_txns{0};
   std::uint64_t history_incomplete{0};
@@ -513,6 +547,17 @@ std::vector<std::vector<std::uint8_t>> wal_frames_under(const fs::path& dir) {
   return frames;
 }
 
+/// Starts the client runtime (the highest-index process: it dials every
+/// daemon and listens on nothing) and waits for every link; FleetDown if the
+/// fleet does not come up within 15 s.
+void start_fleet(NetRuntime& rt, const std::string& protocol) {
+  rt.start();
+  if (!rt.wait_connected_for(15'000'000'000ull)) {
+    rt.stop();
+    throw FleetDown(protocol + ": fleet did not come up within 15 s");
+  }
+}
+
 FleetResult run_fleet(const std::string& protocol, const Shape& shape, std::uint64_t seed,
                       TimeNs window_ns, bool traced, bool wal, const std::string& server_bin,
                       const fs::path& dir) {
@@ -544,11 +589,7 @@ FleetResult run_fleet(const std::string& protocol, const Shape& shape, std::uint
   }
   HistoryRecorder rec(fleet.system.num_objects);
   auto sys = build_protocol(fleet.protocol, rt, rec, fleet.system, fleet.options);
-  rt.start();
-  if (!rt.wait_connected_for(15'000'000'000ull)) {
-    rt.stop();
-    throw std::runtime_error(protocol + ": fleet did not come up within 15 s");
-  }
+  start_fleet(rt, protocol);
   r.setup_ns = mono_ns() - t0;
 
   // Two closed loops: loop i submits through unified client i, whose READs go
@@ -597,9 +638,11 @@ FleetResult run_fleet(const std::string& protocol, const Shape& shape, std::uint
 
   const TimeNs warmup = protocol == "adaptive" ? shape.adaptive_warmup_ns : shape.warmup_ns;
   sleep_until_ns(run_start + warmup);
+  r.host_stat_w0 = read_text("/proc/stat");
   const TimeNs w0 = mono_ns();
   sleep_until_ns(w0 + window_ns);
   const TimeNs w1 = mono_ns();
+  r.host_stat_w1 = read_text("/proc/stat");
   stop.store(true, std::memory_order_release);
   r.window_ns = w1 - w0;
   const TimeNs drain_deadline = mono_ns() + 10'000'000'000ull;
@@ -628,7 +671,8 @@ FleetResult run_fleet(const std::string& protocol, const Shape& shape, std::uint
       if (s.done == 0) continue;
       ++r.completed;
       const double us = static_cast<double>(s.done - s.submit) / 1e3;
-      (s.is_read ? r.read_us : r.write_us).push_back(us);
+      const auto slice = static_cast<std::size_t>((s.submit - w0) * kSlices / r.window_ns);
+      (s.is_read ? r.read_us : r.write_us)[slice].push_back(us);
     }
   }
   r.history = rec.snapshot();
@@ -715,12 +759,11 @@ TimeNs setup_probe(const std::string& protocol, const Shape& shape, bool wal,
   NetRuntime rt(fleet.net_options(fleet.client_index()));
   HistoryRecorder rec(fleet.system.num_objects);
   auto sys = build_protocol(fleet.protocol, rt, rec, fleet.system, fleet.options);
-  rt.start();
-  const bool up = rt.wait_connected_for(15'000'000'000ull);
+  start_fleet(rt, protocol);
   const TimeNs dt = mono_ns() - t0;
-  if (up) rt.broadcast_shutdown();
+  rt.broadcast_shutdown();
   rt.stop();
-  *clean = daemons.reap(10'000) && up;
+  *clean = daemons.reap(10'000);
   fs::remove_all(dir);
   return dt;
 }
@@ -905,20 +948,18 @@ GenParams fuzz_params(const std::string& protocol) {
   return p;
 }
 
-/// One case of the battery: which pass over the seeds, which protocol.
+/// One case of the battery: which protocol, which seed.
 struct FuzzItem {
-  std::size_t pass{0};
   std::size_t protocol{0};
   std::uint64_t seed{0};
 };
 
-/// Runs cases in the given order, tallying per protocol and counting
-/// unexpected violations per pass.  Every violating case is run a second
+/// Runs cases in the given order, tallying per protocol and recording the
+/// seeds of unexpected violations.  Every violating case is run a second
 /// time: its verdict must repeat exactly.
-void fuzz_cases(const std::vector<FuzzItem>& cases, bool traced, std::vector<FuzzTally>& tally,
-                std::vector<std::uint64_t>& unexpected_per_pass) {
+void fuzz_cases(const std::vector<FuzzItem>& cases, bool traced, std::vector<FuzzTally>& tally) {
   const OracleOptions oracle;
-  for (const auto& [pass, p, seed] : cases) {
+  for (const auto& [p, seed] : cases) {
     const std::string& name = kTrio[p];
     FuzzTally& t = tally[p];
     const double c0 = process_cpu_s();
@@ -944,7 +985,6 @@ void fuzz_cases(const std::vector<FuzzItem>& cases, bool traced, std::vector<Fuz
     }
     if (report.violation && !report.expected) {
       ++t.unexpected;
-      ++unexpected_per_pass[pass];
       t.unexpected_seeds.push_back(seed);
       std::fprintf(stderr, "[perfbench] fuzz %s seed %llu: UNEXPECTED %s: %s\n", name.c_str(),
                    static_cast<unsigned long long>(seed), report.checker.c_str(),
@@ -994,19 +1034,14 @@ double time_shrink(const std::vector<FuzzTally>& tally) {
   return 0;
 }
 
-/// `passes` passes over battery seeds [1, hi] for every protocol of the trio,
-/// each pass in its own seeded order.
-std::vector<FuzzItem> battery(std::uint64_t hi, std::size_t passes, std::uint64_t seed) {
+/// Battery seeds [1, hi] for every protocol of the trio, in a seeded order.
+std::vector<FuzzItem> battery(std::uint64_t hi, std::uint64_t seed) {
   std::vector<FuzzItem> all;
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    std::vector<FuzzItem> one;
-    for (std::size_t p = 0; p < kTrio.size(); ++p) {
-      for (std::uint64_t s = 1; s <= hi; ++s) one.push_back(FuzzItem{pass, p, s});
-    }
-    std::mt19937_64 rng(seed * 131 + pass);
-    std::shuffle(one.begin(), one.end(), rng);
-    all.insert(all.end(), one.begin(), one.end());
+  for (std::size_t p = 0; p < kTrio.size(); ++p) {
+    for (std::uint64_t s = 1; s <= hi; ++s) all.push_back(FuzzItem{p, s});
   }
+  std::mt19937_64 rng(seed * 131);
+  std::shuffle(all.begin(), all.end(), rng);
   return all;
 }
 
@@ -1019,7 +1054,6 @@ int run(const Args& a) {
   const bool traced = a.get("trace", "0") == "1";
   const std::string server_bin = a.need("server-bin");
   const fs::path work = a.need("work-dir");
-  const std::size_t probes = std::stoul(a.get("setup-probes", "9"));
   // Replicated fleets keep their logs in memory unless the run is traced.
   // fdatasync latency on a shared VM's disk drifts 2-3x for minutes at a
   // time, which no run length averages out; the traced run turns the
@@ -1027,9 +1061,7 @@ int run(const Args& a) {
   const bool wal = shape.replicas > 1 && traced;
   // Fleets per protocol; the timed window is split evenly over them.
   const std::size_t rounds = std::stoul(a.get("rounds", "1"));
-  const std::size_t fuzz_pass_count = std::stoul(a.need("fuzz-passes"));
-  const std::vector<FuzzItem> cases =
-      battery(std::stoull(a.need("fuzz-seeds")), fuzz_pass_count, seed);
+  const std::vector<FuzzItem> cases = battery(std::stoull(a.need("fuzz-seeds")), seed);
 
   const TimeNs window_ns = static_cast<TimeNs>(
       seconds * 1e9 / static_cast<double>(kTrio.size() * rounds));
@@ -1040,15 +1072,20 @@ int run(const Args& a) {
   // then, and spreading the CPU-bound cases over the whole run averages out
   // drift in the host's speed.
   std::vector<FuzzTally> tally(kTrio.size());
-  std::vector<std::uint64_t> unexpected_per_pass(fuzz_pass_count, 0);
   const std::size_t chunks = rounds * kTrio.size() * (traced ? 2 : 1);
   std::size_t cases_done = 0;
   const auto fuzz_chunk = [&] {
     const std::size_t end = cases.size() * fleets.size() / chunks;
     fuzz_cases({cases.begin() + static_cast<std::ptrdiff_t>(cases_done),
                 cases.begin() + static_cast<std::ptrdiff_t>(end)},
-               traced, tally, unexpected_per_pass);
+               traced, tally);
     cases_done = end;
+  };
+  const auto fleet = [&](const std::string& p, std::uint64_t fleet_seed, bool traced_fleet) {
+    return with_port_retry(p + " fleet", [&] {
+      return run_fleet(p, shape, fleet_seed, window_ns, traced_fleet, wal, server_bin,
+                       work / "fleet");
+    });
   };
   // Protocol order rotates each round so no protocol always runs first.
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -1058,19 +1095,19 @@ int run(const Args& a) {
       if (traced) {
         // Untraced twin first: the trace overhead and the runtime counters
         // come from it, the layer spans from the traced fleet.
-        fleets.push_back(
-            run_fleet(p, shape, fleet_seed, window_ns, false, wal, server_bin, work / "fleet"));
+        fleets.push_back(fleet(p, fleet_seed, false));
         fuzz_chunk();
       }
-      fleets.push_back(
-          run_fleet(p, shape, fleet_seed, window_ns, traced, wal, server_bin, work / "fleet"));
+      fleets.push_back(fleet(p, fleet_seed, traced));
       fuzz_chunk();
     }
   }
-  for (std::size_t i = 0; i < probes; ++i) {
+  for (std::size_t i = 0; i < kSetupProbes; ++i) {
+    const std::string& p = kTrio[i % kTrio.size()];
     bool clean = false;
-    setup_probe_ns.push_back(static_cast<double>(
-        setup_probe(kTrio[i % kTrio.size()], shape, wal, server_bin, work / "probe", &clean)));
+    setup_probe_ns.push_back(static_cast<double>(with_port_retry(p + " set-up probe", [&] {
+      return setup_probe(p, shape, wal, server_bin, work / "probe", &clean);
+    })));
     probes_clean = probes_clean && clean;
   }
 
@@ -1109,8 +1146,10 @@ int run(const Args& a) {
         .boolean("traced", f.traced)
         .num("setup_ns", static_cast<double>(f.setup_ns))
         .num("window_ns", static_cast<double>(f.window_ns))
-        .raw("read_us", jarr(f.read_us))
-        .raw("write_us", jarr(f.write_us))
+        .str("host_stat_w0", f.host_stat_w0)
+        .str("host_stat_w1", f.host_stat_w1)
+        .raw("read_us", jarr(slices_json(f.read_us)))
+        .raw("write_us", jarr(slices_json(f.write_us)))
         .num("attempted", static_cast<double>(f.attempted))
         .num("completed", static_cast<double>(f.completed))
         .num("history_txns", static_cast<double>(f.history_txns))
@@ -1135,8 +1174,7 @@ int run(const Args& a) {
       .raw("fleets", jarr(fleet_json))
       .raw("setup_probe_ns", jarr(setup_probe_ns))
       .boolean("setup_probes_clean", probes_clean)
-      .raw("fuzz", fuzz_json(tally, traced ? time_shrink(tally) : 0))
-      .raw("unexpected_per_pass", jarr(unexpected_per_pass));
+      .raw("fuzz", fuzz_json(tally, traced ? time_shrink(tally) : 0));
   if (traced) {
     JObj micro;
     micro.raw("codec", codec_timings(codec_samples))

@@ -33,9 +33,17 @@ PAYLOAD_CLASSES = ("read_req", "read_resp", "write", "repl")
 FLEET_WINDOW_S = {"read_mostly": 5.0 / 6,  # timed seconds per fleet; check_tag_order
                   "hot_writes": 5.0 / 3}   # is O(n^2) in a fleet's history
 BATTERY_SEEDS = 20000      # the fuzz battery: seeds 1..20000 per protocol
-FUZZ_SLICE = 2000          # battery seeds per protocol run beside each TCP workload
-FUZZ_SLICE_PASSES = 3      # passes over that slice, one seeded order each
+FUZZ_SLICE = 6000          # battery seeds per protocol run beside each TCP workload
+# The only fuzz violations a run may find: algo-c trips tag-order P2 on these
+# battery seeds although check_strict_serializability passes on their
+# histories (a known defect).  Any other violation fails the gate.
+KNOWN_FUZZ_VIOLATIONS = {"algo-c": {1854, 3949, 19484}}
 CLIENT_TIMEOUT_S = 170
+# Host steal share over a fleet's timed window above which its P.* figures
+# are set aside (while the protocol has calmer fleets).  On the shared VM the
+# benchmark was tuned on, steal idles near 0.5% and comes in episodes of
+# 3-10% lasting 10-40 s, during which READ p99s rise 2-30x.
+STEAL_LIMIT = 0.02
 
 
 def log(*parts):
@@ -89,32 +97,57 @@ def fleets_of(raw, protocol, traced=None):
 
 
 def pooled(fleets, key):
+    """Every latency of `key` ("read_us" or "write_us") over the fleets' slices."""
     out = []
     for f in fleets:
-        out += f[key]
+        for part in f[key]:
+            out += part
     return out
+
+
+def slices_of(fleets):
+    """(seconds, read latencies, write latencies) of every window slice."""
+    out = []
+    for f in fleets:
+        k = len(f["read_us"])
+        for reads, writes in zip(f["read_us"], f["write_us"]):
+            out.append((f["window_ns"] / 1e9 / k, reads, writes))
+    return out
+
+
+def window_steal(fleet):
+    return stats.host_shares(stats.proc_stat_cpu(fleet["host_stat_w0"]),
+                             stats.proc_stat_cpu(fleet["host_stat_w1"]))[0]
 
 
 def end_to_end(raw):
     """The end-to-end metrics, keyed by name: (value, unit, sample note)."""
     m = {}
     for p in TRIO:
-        # Each figure is taken per fleet, and the metric is the median over
-        # the run's fleets of that protocol: one fleet with an unlucky
-        # thread placement or disk stall does not move it.
+        # Each figure is taken per slice of a fleet's timed window, and the
+        # metric is the median over the slices of that protocol's calm
+        # fleets: one fleet with an unlucky thread placement, host noise over
+        # part of a window, or a steal episode over some fleets does not
+        # move it.
         fl = fleets_of(raw, p)
-        note = "median of %d fleets; %s per fleet" % (len(fl), "/".join(
-            str(len(f["read_us"])) for f in fl))
-        ops = [f["completed"] / (f["window_ns"] / 1e9) for f in fl]
-        m[p + ".ops_per_s"] = (stats.median(ops), "1/s", "median of %d fleets; txns %s" % (
-            len(fl), "/".join(str(f["completed"]) for f in fl)))
-        m[p + ".read_p50_us"] = (stats.median([stats.percentile(f["read_us"], 50) for f in fl]),
-                                 "us", note + " reads")
-        m[p + ".read_p99_us"] = (stats.median([stats.percentile(f["read_us"], 99) for f in fl]),
-                                 "us", note + " reads")
-        m[p + ".write_p50_us"] = (stats.median([stats.percentile(f["write_us"], 50) for f in fl]),
-                                  "us", "median of %d fleets; %s writes per fleet" % (
-                                      len(fl), "/".join(str(len(f["write_us"])) for f in fl)))
+        steal = [window_steal(f) for f in fl]
+        picked = [fl[i] for i in stats.calm(steal, STEAL_LIMIT)]
+        if len(picked) < len(fl):
+            log("[perfbench] %s: %d of %d fleets set aside, window steal %s" % (
+                p, len(fl) - len(picked), len(fl), " ".join("%.3f" % x for x in steal)))
+        sl = slices_of(picked)
+        reads = [len(r) for _, r, _ in sl]
+        writes = [len(w) for _, _, w in sl]
+        src = "median of %d slices of %d/%d fleets" % (len(sl), len(picked), len(fl))
+        read_note = "%s; %d-%d reads per slice" % (src, min(reads), max(reads))
+        m[p + ".ops_per_s"] = (stats.median([(len(r) + len(w)) / t for t, r, w in sl]), "1/s",
+                               "%s; %d txns" % (src, sum(reads) + sum(writes)))
+        m[p + ".read_p50_us"] = (stats.median([stats.percentile(r, 50) for _, r, _ in sl]),
+                                 "us", read_note)
+        m[p + ".read_p99_us"] = (stats.median([stats.percentile(r, 99) for _, r, _ in sl]),
+                                 "us", read_note)
+        m[p + ".write_p50_us"] = (stats.median([stats.percentile(w, 50) for _, _, w in sl]), "us",
+                                  "%s; %d-%d writes per slice" % (src, min(writes), max(writes)))
     cases = sum(raw["fuzz"][p]["cases"] for p in TRIO)
     cpu = sum(raw["fuzz"][p]["cpu_s"] for p in TRIO)
     m["fuzz_cases_per_s"] = (cases / cpu, "1/s", "%d cases / %.3f cpu-s" % (cases, cpu))
@@ -252,18 +285,21 @@ def per_layer(raw):
     ws = micro.get("wire_stats_on_send_ns") or {}
     m["metrics.wire_stats_on_send_ns.1t"] = (ws.get("1t", 0.0), "ns")
     m["metrics.wire_stats_on_send_ns.3t"] = (ws.get("3t", 0.0), "ns")
-    check_s = sum(f["tag_order_s"] for f in raw["fleets"])
-    check_txns = sum(f["history_txns"] for f in raw["fleets"])
-    m["checker.tag_order_us_per_txn"] = (safe_div(check_s * 1e6, check_txns), "us")
-
     fuzz_part = raw["fuzz"]
-    passes = len(raw["unexpected_per_pass"])
-    run_case, oracle, decisions = [], [], []
+    run_case, oracle, decisions, tag_order = [], [], [], []
     for p in TRIO:
         run_case += fuzz_part[p]["run_case_us"]
         oracle += fuzz_part[p]["oracle_us"]
         decisions += fuzz_part[p]["decisions"]
-        m["fuzz.unexpected_violations." + p] = (fuzz_part[p]["unexpected"] / passes, "count")
+        tag_order += fuzz_part[p]["tag_order_us_per_txn"]
+        m["fuzz.unexpected_violations." + p] = (float(fuzz_part[p]["unexpected"]), "count")
+    # check_tag_order per fuzz case (what fuzz_cases_per_s pays), and over
+    # the TCP fleets' full histories (what bounds a fleet's length: P2 is
+    # O(n^2), so this one grows with the history).
+    m["checker.tag_order_us_per_txn"] = (stats.summarize(tag_order)["p50"], "us")
+    check_s = sum(f["tag_order_s"] for f in raw["fleets"])
+    check_txns = sum(f["history_txns"] for f in raw["fleets"])
+    m["checker.fleet_tag_order_us_per_txn"] = (safe_div(check_s * 1e6, check_txns), "us")
     m["fuzz.run_case_us"] = (stats.summarize(run_case)["p50"], "us")
     m["fuzz.oracle_us"] = (stats.summarize(oracle)["p50"], "us")
     m["fuzz.shrink_ms"] = (float(fuzz_part.get("shrink_ms", 0.0)), "ms")
@@ -289,7 +325,6 @@ def gate(raw):
     if not raw["setup_probes_clean"]:
         problems.append("a set-up probe fleet did not come up or exit cleanly")
     fuzz_part = raw["fuzz"]
-    per_pass = raw["unexpected_per_pass"]
     for p in TRIO:
         t = fuzz_part[p]
         attempted += t["cases"]
@@ -298,12 +333,12 @@ def gate(raw):
             problems.append("fuzz %s: %d liveness-guard trips" % (p, t["guard_trips"]))
         if t["nondeterministic"]:
             problems.append("fuzz %s: %d violation verdicts did not repeat" % (p, t["nondeterministic"]))
-        if t["unexpected"]:
-            log("[perfbench] fuzz %s: %g unexpected violation(s) per pass, seeds %s (reported, "
-                "reproducible)" % (p, t["unexpected"] / len(per_pass),
-                                   sorted(set(t["unexpected_seeds"]))))
-    if len(set(per_pass)) > 1:
-        problems.append("fuzz: unexpected-violation count differs between passes: %s" % per_pass)
+        seeds = sorted(t["unexpected_seeds"])
+        unknown = [s for s in seeds if s not in KNOWN_FUZZ_VIOLATIONS.get(p, ())]
+        if unknown:
+            problems.append("fuzz %s: violations on seeds %s" % (p, unknown))
+        elif seeds:
+            log("[perfbench] fuzz %s: known violations on seeds %s" % (p, seeds))
     return problems, attempted, failed
 
 
@@ -348,7 +383,6 @@ def main():
     opts = {"shape": shape, "seed": args.seed, "seconds": seconds,
             "rounds": max(1, round(seconds / (3 * FLEET_WINDOW_S[shape]))),
             "fuzz-seeds": BATTERY_SEEDS if args.workload == "fuzz" else FUZZ_SLICE,
-            "fuzz-passes": 1 if args.workload == "fuzz" else FUZZ_SLICE_PASSES,
             "trace": args.trace, "server-bin": server, "work-dir": os.path.join(work, "tcp")}
     try:
         raw = run_client(client, opts, os.path.join(work, "raw.json"))

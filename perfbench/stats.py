@@ -91,6 +91,14 @@ def host_shares(before, after):
     return delta["steal"] / total, busy / total
 
 
+def calm(steal_shares, limit):
+    """Indices of the items whose host steal share is at most `limit`, or of
+    all items when none is: figures measured while the hypervisor ran other
+    guests are set aside only while calmer ones exist."""
+    picked = [i for i, s in enumerate(steal_shares) if s <= limit]
+    return picked or list(range(len(steal_shares)))
+
+
 def unexplained_share(layers_us, traced_read_p50_us):
     """1 - (sum of the READ's layer times / traced READ median).  Positive:
     time the layers do not account for; negative: the layers overlap

@@ -1,10 +1,12 @@
-"""Tests for the benchmark's own arithmetic (perfbench/stats.py).
+"""Tests for the benchmark's own arithmetic (perfbench/stats.py) and its
+correctness gate (run.gate).
 
     python3 -m unittest discover -s perfbench -p 'test_*.py'
 """
 
 import unittest
 
+import run
 import stats
 
 
@@ -97,6 +99,14 @@ class ProcParsing(unittest.TestCase):
         self.assertEqual(stats.host_shares(cpu, cpu), (0.0, 0.0))
 
 
+class Calm(unittest.TestCase):
+    def test_sets_aside_items_above_the_limit(self):
+        self.assertEqual(stats.calm([0.004, 0.08, 0.019, 0.021], 0.02), [0, 2])
+
+    def test_keeps_everything_when_nothing_is_calm(self):
+        self.assertEqual(stats.calm([0.05, 0.09], 0.02), [0, 1])
+
+
 class Reconciliation(unittest.TestCase):
     def test_layers_scale_with_rounds(self):
         layers = stats.read_layers(10, 5, 2.0, 40, 3, 30)
@@ -113,6 +123,44 @@ class Reconciliation(unittest.TestCase):
     def test_needs_a_positive_median(self):
         with self.assertRaises(ValueError):
             stats.unexplained_share({"x": 1}, 0)
+
+
+def raw_run(unexpected_seeds=None, incomplete=0):
+    """A minimal perfbench_client result: one clean fleet and one fuzz tally
+    per protocol, with the given violating seeds per protocol."""
+    unexpected_seeds = unexpected_seeds or {}
+    fleet = {"protocol": "algo-b", "traced": False, "history_txns": 100,
+             "history_incomplete": incomplete, "attempted": 90,
+             "completed": 90 - incomplete, "daemons_clean": True,
+             "tag_order_ok": True, "tag_order_msg": ""}
+    fuzz = {}
+    for p in run.TRIO:
+        seeds = unexpected_seeds.get(p, [])
+        fuzz[p] = {"cases": 1000, "guard_trips": 0, "nondeterministic": 0,
+                   "unexpected": len(seeds), "unexpected_seeds": seeds}
+    return {"fleets": [fleet], "setup_probes_clean": True, "fuzz": fuzz}
+
+
+class Gate(unittest.TestCase):
+    def test_clean_run_passes_and_counts_attempts(self):
+        problems, attempted, failed = run.gate(raw_run())
+        self.assertEqual(problems, [])
+        self.assertEqual((attempted, failed), (100 + 3 * 1000, 0))
+
+    def test_known_violations_pass(self):
+        problems, _, _ = run.gate(raw_run({"algo-c": [1854, 3949, 19484]}))
+        self.assertEqual(problems, [])
+
+    def test_any_other_violation_fails(self):
+        for seeds in ({"algo-c": [1854, 7]}, {"algo-b": [1854]}, {"adaptive": [3949]}):
+            problems, _, _ = run.gate(raw_run(seeds))
+            self.assertEqual(len(problems), 1, seeds)
+
+    def test_undrained_transactions_fail(self):
+        problems, attempted, failed = run.gate(raw_run(incomplete=4))
+        self.assertEqual(len(problems), 1)
+        self.assertEqual(failed, 4)
+        self.assertAlmostEqual(stats.failed_frac(attempted, failed), 4 / 3100)
 
 
 if __name__ == "__main__":
